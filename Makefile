@@ -124,7 +124,8 @@ bench-micro:
 	$(GO) test -bench=. -benchmem
 
 # Cache-hit vs cold-synthesis service benchmark; asserts a >= 10x
-# speedup and writes the measurements to BENCH_service.json.
+# speedup and a cache-hit allocation budget (2x the measured allocs/op)
+# and writes the measurements to BENCH_service.json.
 bench-service:
 	SIRO_BENCH_JSON=$(CURDIR)/BENCH_service.json $(GO) test ./internal/service -run TestServiceBenchReport -count=1 -v
 
@@ -133,9 +134,9 @@ bench-service:
 bench-obs:
 	SIRO_BENCH_JSON=$(CURDIR)/BENCH_obs.json $(GO) test ./internal/service -run TestObsBenchReport -count=1 -v
 
-# Journaled vs unjournaled synchronous translate benchmark; asserts the
-# durable job journal costs <= 5% on the sync hot path and writes
-# BENCH_journal.json.
+# Journal hot-path check: asserts synchronous translates (JSON,
+# buffered and streamed) append no job-journal records, with one batch
+# job as the control, and writes BENCH_journal.json.
 bench-journal:
 	SIRO_BENCH_JSON=$(CURDIR)/BENCH_journal.json $(GO) test ./internal/service -run TestJournalBenchReport -count=1 -v
 

@@ -16,7 +16,8 @@
 //     write + one fsync, so durability costs are amortized across a
 //     batch. Append returns only after its record is fsynced;
 //     AppendAsync enqueues and lets the fsync ride the next commit (for
-//     hot-path records whose loss on crash is acceptable).
+//     records whose loss on crash is acceptable, such as intermediate
+//     job-state transitions).
 //   - The log is segmented, and segments rotate atomically through
 //     checkpoints: Checkpoint writes a snapshot of the owner's live
 //     state at the head of a brand-new segment, fsyncs it, and only
@@ -235,8 +236,8 @@ func (j *Journal) Append(rec []byte) error {
 
 // AppendAsync enqueues one record without waiting for durability: the
 // fsync rides the next commit batch. Use for records whose loss in a
-// crash is acceptable (hot-path markers); job lifecycle records should
-// use Append.
+// crash is acceptable (intermediate job-state transitions); job
+// lifecycle records should use Append.
 func (j *Journal) AppendAsync(rec []byte) error {
 	return j.enqueue(appendReq{rec: rec})
 }

@@ -68,9 +68,16 @@ func benchModule(tb testing.TB, src version.V) *ir.Module {
 	return tests[0].Module
 }
 
+// maxCacheHitAllocs bounds a warm Translate's allocations at twice the
+// 36 allocs/op measured with the memoized cache key, so a change that
+// puts per-request hashing or registry rebuilding back on the hit path
+// fails the gate.
+const maxCacheHitAllocs = 2 * 36
+
 // TestServiceBenchReport runs both benchmarks in-process, asserts the
-// cache hit is at least 10x faster than cold synthesis, and — when
-// SIRO_BENCH_JSON names a file — writes the measurements as JSON.
+// cache hit is at least 10x faster than cold synthesis and within its
+// allocation budget, and — when SIRO_BENCH_JSON names a file — writes
+// the measurements as JSON.
 func TestServiceBenchReport(t *testing.T) {
 	out := os.Getenv("SIRO_BENCH_JSON")
 	if out == "" && testing.Short() {
@@ -83,10 +90,14 @@ func TestServiceBenchReport(t *testing.T) {
 		t.Fatalf("degenerate measurements: hit %d ns/op, cold %d ns/op", hitNs, coldNs)
 	}
 	speedup := float64(coldNs) / float64(hitNs)
-	t.Logf("cache hit %d ns/op (%d iters), cold synthesis %d ns/op (%d iters), speedup %.1fx",
-		hitNs, hit.N, coldNs, cold.N, speedup)
+	hitAllocs := hit.AllocsPerOp()
+	t.Logf("cache hit %d ns/op %d allocs/op (%d iters), cold synthesis %d ns/op (%d iters), speedup %.1fx",
+		hitNs, hitAllocs, hit.N, coldNs, cold.N, speedup)
 	if speedup < 10 {
 		t.Fatalf("cache hit only %.1fx faster than cold synthesis, want >= 10x", speedup)
+	}
+	if hitAllocs > maxCacheHitAllocs {
+		t.Fatalf("cache hit makes %d allocs/op, want <= %d", hitAllocs, maxCacheHitAllocs)
 	}
 	if out == "" {
 		return
@@ -100,6 +111,8 @@ func TestServiceBenchReport(t *testing.T) {
 		ColdIters       int     `json:"cold_synthesis_iters"`
 		Speedup         float64 `json:"speedup"`
 		Threshold       float64 `json:"threshold"`
+		CacheHitAllocs  int64   `json:"cache_hit_allocs_per_op"`
+		MaxAllocs       int64   `json:"cache_hit_allocs_threshold"`
 	}{
 		Benchmark:       "service cache hit vs cold synthesis",
 		Pair:            benchPair().String(),
@@ -109,6 +122,8 @@ func TestServiceBenchReport(t *testing.T) {
 		ColdIters:       cold.N,
 		Speedup:         speedup,
 		Threshold:       10,
+		CacheHitAllocs:  hitAllocs,
+		MaxAllocs:       maxCacheHitAllocs,
 	}
 	blob, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {

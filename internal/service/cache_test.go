@@ -69,6 +69,22 @@ func TestCacheKeyIncludesOptions(t *testing.T) {
 	}
 }
 
+// Naming a warm translator must cost nothing: the canonical cache key
+// is memoized per (pair, generation bounds), so a repeat Key makes no
+// allocation.
+func TestCacheKeyHitAllocs(t *testing.T) {
+	c := NewCache("", 8, synth.Options{})
+	want := c.Key(pair12to36)
+	allocs := testing.AllocsPerRun(100, func() {
+		if c.Key(pair12to36) != want {
+			t.Fatal("cache key changed between calls")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm Cache.Key makes %.0f allocs, want 0", allocs)
+	}
+}
+
 // A corrupted or stale artifact is silently dropped and re-synthesized,
 // never served.
 func TestCacheDropsCorruptArtifact(t *testing.T) {

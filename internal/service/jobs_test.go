@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/journal"
 	"repro/internal/version"
 )
 
@@ -146,6 +147,49 @@ func TestJobsRecoveryResumes(t *testing.T) {
 	ov := waitTerminal(t, js2, "orphan01")
 	if ov.State != string(JobDone) {
 		t.Fatalf("orphan: %s %s %s", ov.State, ov.Class, ov.Error)
+	}
+}
+
+// Journals written before synchronous translates stopped being
+// journaled hold "sync" marker records; replay must skip them and
+// still reconstruct every job.
+func TestJobsReplaySkipsLegacySyncRecords(t *testing.T) {
+	dir := t.TempDir()
+	jl, _, err := journal.Open(journal.Config{Dir: dir, Name: "jobs", NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Now()
+	done := &jobRec{
+		id: "done0001", seq: 1, source: "12.0", target: "3.6", state: JobDone,
+		resultIR: "; translated\n", submitted: now, finished: now,
+	}
+	raw, _ := json.Marshal(done.wire())
+	for _, rec := range [][]byte{
+		[]byte(`{"op":"sync","state":"ok"}`),
+		raw,
+		[]byte(`{"op":"sync","state":"error","class":"parse"}`),
+	} {
+		if err := jl.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := jl.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	svc := New(Config{Workers: 1})
+	defer svc.Close()
+	js, rec, err := NewJobs(svc, JobsConfig{Dir: dir, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer js.Close()
+	if rec.Records != 3 || rec.Dropped != 0 || rec.Jobs != 1 || rec.Resumed != 0 {
+		t.Fatalf("recovery = %+v, want 3 records / 0 dropped / 1 job / 0 resumed", rec)
+	}
+	if v, ok := js.Get("done0001"); !ok || v.State != string(JobDone) || v.IR != done.resultIR {
+		t.Fatalf("replayed job: ok=%v view=%+v", ok, v)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync"
 
 	"repro/internal/ir"
 	"repro/internal/irlib"
@@ -54,10 +55,40 @@ type persisted struct {
 // same fingerprint iff Import would re-materialize their artifacts
 // against the same candidate space, so the fingerprint is the cache key
 // of the content-addressed translator cache (internal/service) and the
-// staleness check of Import. Library overrides in opts (the chaos seam)
-// change the fingerprint, so poisoned-registry artifacts never collide
-// with canonical ones.
+// staleness check of Import.
+//
+// With the canonical libraries (opts.Getters and opts.Builders nil) the
+// surface is compiled-in code, so the fingerprint is a pure function of
+// (src, tgt, opts.Gen) and is computed once per process: later calls
+// are a map hit with no allocation. Library overrides (the chaos seam)
+// are hashed on every call with an override marker mixed in — a
+// poisoned library keeps its canonical API signatures and swaps only
+// implementations, so without the marker its artifacts would share the
+// canonical content address.
 func Fingerprint(src, tgt version.V, opts Options) string {
+	if opts.Getters != nil || opts.Builders != nil {
+		return computeFingerprint(src, tgt, opts)
+	}
+	k := fingerprintKey{src: src, tgt: tgt, gen: opts.Gen}
+	if fp, ok := canonicalFingerprints.Load(k); ok {
+		return fp.(string)
+	}
+	fp, _ := canonicalFingerprints.LoadOrStore(k, computeFingerprint(src, tgt, opts))
+	return fp.(string)
+}
+
+// fingerprintKey is everything a canonical-library fingerprint depends on.
+type fingerprintKey struct {
+	src, tgt version.V
+	gen      typegraph.Options
+}
+
+// canonicalFingerprints memoizes Fingerprint for the canonical libraries
+// (fingerprintKey → string). It holds at most one entry per version
+// pair and generation setting.
+var canonicalFingerprints sync.Map
+
+func computeFingerprint(src, tgt version.V, opts Options) string {
 	getters := opts.Getters
 	if getters == nil {
 		getters = irlib.Getters(src)
@@ -71,6 +102,12 @@ func Fingerprint(src, tgt version.V, opts Options) string {
 	io.WriteString(h, src.String()+"->"+tgt.String()+"\n")
 	gen := opts.Gen
 	fmt.Fprintf(h, "gen %d %d %d\n", gen.MaxTermsPerTok, gen.MaxCandidates, gen.MaxTermSize)
+	if opts.Getters != nil {
+		io.WriteString(h, "override getters\n")
+	}
+	if opts.Builders != nil {
+		io.WriteString(h, "override builders\n")
+	}
 	for _, a := range getters.APIs {
 		io.WriteString(h, "G "+a.Kind.String()+" "+a.String()+"\n")
 	}

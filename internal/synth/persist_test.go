@@ -4,10 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/chaos"
 	"repro/internal/corpus"
+	"repro/internal/ir"
+	"repro/internal/irlib"
 	"repro/internal/synth"
+	"repro/internal/typegraph"
 	"repro/internal/version"
 )
 
@@ -84,6 +89,72 @@ func TestFingerprint(t *testing.T) {
 	bounded.Gen.MaxCandidates = 16
 	if other := synth.Fingerprint(version.V12_0, version.V3_6, bounded); other == base {
 		t.Fatalf("different generation bounds produced the same fingerprint")
+	}
+}
+
+// The canonical fingerprint is an on-disk content address (artifact file
+// names, cluster placement), so its bytes are pinned: memoizing it must
+// not change what it hashes.
+func TestFingerprintGolden(t *testing.T) {
+	const want = "0ac6e76cb20b11aaca4442f2773e1ba83a4a22d9b3878775817b0c65593cfe24"
+	for i := 0; i < 2; i++ { // first call computes, second is the memo hit
+		if got := synth.Fingerprint(version.V12_0, version.V3_6, synth.Options{}); got != want {
+			t.Fatalf("call %d: canonical 12.0->3.6 fingerprint = %s, want %s", i, got, want)
+		}
+	}
+	bounded := synth.Options{Gen: typegraph.Options{MaxCandidates: 16}}
+	const wantBounded = "dc6d0e1637a171fd254b381571738718f24f9809f80059cbe12e4ad042e2431b"
+	if got := synth.Fingerprint(version.V17_0, version.V3_6, bounded); got != wantBounded {
+		t.Fatalf("bounded 17.0->3.6 fingerprint = %s, want %s", got, wantBounded)
+	}
+}
+
+// A poisoned library keeps every API signature and swaps only
+// implementations; its fingerprint must still differ from the canonical
+// one, or a poisoned synthesis would be persisted to (and imported
+// from) the canonical artifact's content address.
+func TestFingerprintPoisonedLibraryDiffers(t *testing.T) {
+	canonical := synth.Fingerprint(version.V12_0, version.V3_6, synth.Options{})
+	lying, n := chaos.Poison(irlib.Getters(version.V12_0),
+		chaos.ComponentFault{API: "GetLHS", Kind: ir.ICmp, Mode: chaos.Lie})
+	if n == 0 {
+		t.Fatal("poison matched no API")
+	}
+	poisoned := synth.Fingerprint(version.V12_0, version.V3_6, synth.Options{Getters: lying})
+	if poisoned == canonical {
+		t.Fatalf("poisoned getters share the canonical fingerprint %s", canonical)
+	}
+	if again := synth.Fingerprint(version.V12_0, version.V3_6, synth.Options{Getters: lying}); again != poisoned {
+		t.Fatalf("override fingerprint not stable: %s vs %s", poisoned, again)
+	}
+	// An override carrying exactly the canonical library is marked too.
+	builders := synth.Fingerprint(version.V12_0, version.V3_6, synth.Options{Builders: irlib.Builders(version.V3_6)})
+	if builders == canonical || builders == poisoned {
+		t.Fatalf("builders override fingerprint %s collides", builders)
+	}
+}
+
+// Concurrent first calls for one key all see the same fingerprint
+// (run under `make race`, which covers this package).
+func TestFingerprintConcurrentFirstCall(t *testing.T) {
+	opts := synth.Options{Gen: typegraph.Options{MaxTermSize: 5}} // a key no other test warms
+	got := make([]string, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = synth.Fingerprint(version.V15_0, version.V4_0, opts)
+		}()
+	}
+	wg.Wait()
+	for i, fp := range got {
+		if fp != got[0] {
+			t.Fatalf("goroutine %d saw %s, goroutine 0 saw %s", i, fp, got[0])
+		}
+	}
+	if got[0] == synth.Fingerprint(version.V15_0, version.V4_0, synth.Options{}) {
+		t.Fatal("generation bounds ignored by the memoized fingerprint")
 	}
 }
 

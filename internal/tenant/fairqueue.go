@@ -47,7 +47,7 @@ type FairQueue[T any] struct {
 	cond   *sync.Cond
 	queues map[string]*fqQueue[T]
 	ring   []*fqQueue[T] // backlogged tenants in round-robin order
-	cur    int           // ring index currently holding the deficit
+	cur    int           // ring index holding the turn; < len(ring) unless ring is empty
 	size   int
 	closed bool
 }
@@ -161,9 +161,6 @@ func (f *FairQueue[T]) Dequeue() (v T, id string, ok bool) {
 // takes effect at the next grant.
 func (f *FairQueue[T]) popTurnLocked() *fqQueue[T] {
 	for {
-		if f.cur >= len(f.ring) {
-			f.cur = 0
-		}
 		q := f.ring[f.cur]
 		if !q.granted {
 			q.granted = true
@@ -190,8 +187,11 @@ func (f *FairQueue[T]) weightOf(id string) int {
 // removeFromRingLocked drops an emptied queue from the rotation,
 // keeping cur pointed at the next tenant in turn order: removing an
 // earlier entry shifts cur down with the slice; removing the current
-// entry leaves cur aimed at its forward successor (popTurnLocked wraps
-// an out-of-range cur to 0, which IS the successor).
+// entry leaves cur aimed at its forward successor, wrapped to 0 when
+// the removed entry was last. The wrap must happen here, not lazily at
+// the next Dequeue: a tenant that rejoins before the next Dequeue is
+// appended at index len(ring), and an unwrapped cur would hand it the
+// turn ahead of every backlogged tenant.
 func (f *FairQueue[T]) removeFromRingLocked(q *fqQueue[T]) {
 	q.deficit = 0
 	q.granted = false
@@ -200,6 +200,9 @@ func (f *FairQueue[T]) removeFromRingLocked(q *fqQueue[T]) {
 			f.ring = append(f.ring[:i], f.ring[i+1:]...)
 			if i < f.cur {
 				f.cur--
+			}
+			if f.cur >= len(f.ring) {
+				f.cur = 0
 			}
 			return
 		}

@@ -173,6 +173,37 @@ func TestFairQueueClosedLoopChurn(t *testing.T) {
 	}
 }
 
+// A closed-loop tenant that re-enqueues right after each of its items
+// is served must still alternate with a backlogged tenant. Regression:
+// removing the last ring entry left the cursor one past the end, so
+// the light tenant's rejoin landed exactly on the cursor and took every
+// turn ("heavy light light light ...") until it stopped resubmitting.
+func TestFairQueueClosedLoopRejoinAlternates(t *testing.T) {
+	f := NewFairQueue[int](64, nil)
+	fill(t, f, "heavy", 10)
+	fill(t, f, "light", 1)
+	var order []string
+	for len(order) < 20 {
+		_, id, ok := f.Dequeue()
+		if !ok {
+			t.Fatal("queue reported done")
+		}
+		order = append(order, id)
+		if id == "light" {
+			fill(t, f, "light", 1) // the client resubmits on response
+		}
+	}
+	for i, id := range order {
+		want := "heavy"
+		if i%2 == 1 {
+			want = "light"
+		}
+		if id != want {
+			t.Fatalf("service order %v: slot %d went to %s, want strict alternation", order, i, id)
+		}
+	}
+}
+
 // A tenant that empties and re-enters the ring gets no credit
 // carryover: it rejoins with zero deficit and waits its turn.
 func TestFairQueueRejoinNoCredit(t *testing.T) {
